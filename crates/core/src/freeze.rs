@@ -14,6 +14,18 @@
 //! (up to IEEE sign-of-zero, which `f32 ==` treats as equal). The
 //! golden tests below and in `groupsa-serve` pin this down.
 //!
+//! **One scoring path**: every frozen score and γ weight is built here,
+//! once. A single private builder (`tower_rows`) writes the
+//! `[a | v | a⊙v]` rows that feed both prediction towers and the γ
+//! attention, in cross mode (each user row against every item row; each
+//! item against every member) or row-paired mode (each `x_G` against
+//! its item). User scoring is [`GroupSa::score_users_items_frozen`] —
+//! the one-user call is its `users.len() == 1` case — and group
+//! scoring runs the tower once per item slice, not once per item.
+//! Every tower op is row-independent, so how rows are stacked never
+//! changes a score's bits. [`GroupSa::member_weights`] reads γ through
+//! the same helper.
+//!
 //! The split into *latent* / *member-reps* producers and score
 //! consumers is what makes serving cheap: a `FrozenModel` (in
 //! `groupsa-serve`) computes each user's latent factor and each
@@ -25,6 +37,14 @@
 use crate::context::DataContext;
 use crate::model::GroupSa;
 use groupsa_tensor::{ops, Matrix};
+
+/// Rows one stacked user-tower pass stacks users up to. The batching
+/// win inverts once the 3d-wide input and intermediates fall out of
+/// cache (measured crossover between 512 and 2048 rows at d = 32). A
+/// user's item slice is never split, so a full 256-item scan chunk
+/// scores one user per pass. Row independence makes the grouping
+/// invisible in the output bits.
+const STACK_ROWS: usize = 256;
 
 impl GroupSa {
     /// Number of users the embedding tables were built for.
@@ -126,48 +146,28 @@ impl GroupSa {
     /// Tape-free twin of the user-task scores (Eq. 22–23), taking the
     /// user's latent factor as an input instead of recomputing it —
     /// pass the cached result of [`GroupSa::user_latent_frozen`]
-    /// (`None` reproduces the `r₁`-only fallback).
+    /// (`None` reproduces the `r₁`-only fallback). The one-user case
+    /// of [`GroupSa::score_users_items_frozen`].
     ///
     /// # Panics
     /// If `items` is empty or any id is out of range.
     pub fn score_user_items_frozen(&self, user: usize, items: &[usize], latent: Option<&Matrix>) -> Vec<f32> {
-        assert!(!items.is_empty(), "score_user_items_frozen: no items to score");
-        let n = items.len();
-        let emb_u = self.emb_user.lookup_inference(&self.store, &[user]); // 1×d
-        let eu_rep = emb_u.repeat_rows(n);
-        let ev = self.emb_item.lookup_inference(&self.store, items); // n×d
-        let cat1 = eu_rep.concat_cols(&ev).concat_cols(&eu_rep.mul_elem(&ev)); // n×3d
-        let r1 = self.pred_user.forward_inference(&self.store, &cat1); // n×1
-
-        let w = self.cfg.w_u;
-        let scores = match latent {
-            // Exact-zero gate on a config weight, not an arithmetic
-            // result: w_u = 0.0 means "tower disabled", set literally.
-            Some(h) if w != 0.0 => { // lint: allow(float-eq)
-                let h_rep = h.repeat_rows(n);
-                let xv = self.lat_item.lookup_inference(&self.store, items); // n×d
-                let cat2 = h_rep.concat_cols(&xv).concat_cols(&h_rep.mul_elem(&xv)); // n×3d
-                let r2 = self.pred_user.forward_inference(&self.store, &cat2); // n×1
-                r1.scale(1.0 - w).add(&r2.scale(w))
-            }
-            _ => r1,
-        };
-        scores.as_slice().to_vec()
+        self.score_users_items_frozen(&[user], &[latent], items).pop().unwrap_or_default()
     }
 
-    /// Batched twin of [`GroupSa::score_user_items_frozen`]: scores
-    /// the same `items` slice for many users through **one** stacked
-    /// prediction-tower pass instead of one pass per user.
+    /// Scores the same `items` slice for many users through stacked
+    /// prediction-tower passes — the one user-task scoring path every
+    /// frozen caller goes through.
     ///
     /// `latents[j]` is user `users[j]`'s cached latent factor (as
     /// produced by [`GroupSa::user_latent_frozen`]); the slices must
     /// be equal length. The shared item embeddings are gathered once,
-    /// and the `r₂` tower runs once over the latent-bearing subset.
+    /// and the `r₂` tower runs only over the latent-bearing users.
     ///
     /// Every tower op is row-independent (matmul rows accumulate from
     /// their own input row only; bias add, ReLU and the `w_u` blend
-    /// are element-wise), so row `j·n + i` of the stacked pass is
-    /// bit-identical to the per-user call — the freeze tests pin this.
+    /// are element-wise), so row `j·n + i` of a stacked pass carries
+    /// the bits a one-user pass would — the freeze tests pin this.
     ///
     /// # Panics
     /// If `items` is empty, the slices differ in length, or any id is
@@ -180,115 +180,43 @@ impl GroupSa {
     ) -> Vec<Vec<f32>> {
         assert!(!items.is_empty(), "score_users_items_frozen: no items to score");
         assert_eq!(users.len(), latents.len(), "score_users_items_frozen: users/latents length mismatch");
-        if users.is_empty() {
-            return Vec::new();
-        }
         let n = items.len();
+        let w = self.cfg.w_u;
+        // The r₂ tower engages for users with a latent, unless the
+        // blend weight is exactly zero — a config gate, not an
+        // arithmetic result: w_u = 0.0 means "tower disabled".
+        let engaged: Vec<Option<&[f32]>> =
+            latents.iter().map(|l| l.filter(|_| w != 0.0).map(|h| h.row(0))).collect(); // lint: allow(float-eq)
         // Shared gathers happen once per call, regardless of how many
-        // stacked sub-batches the tower pass below is split into.
+        // stacked sub-batches the tower passes below are split into.
         let ev = self.emb_item.lookup_inference(&self.store, items); // n×d
-        let xv = if self.cfg.w_u != 0.0 && latents.iter().any(|l| l.is_some()) { // lint: allow(float-eq)
-            Some(self.lat_item.lookup_inference(&self.store, items)) // n×d
-        } else {
-            None
-        };
-        // Cap each stacked tower pass at ~STACK_ROWS rows: past that
-        // the 3d-wide input and intermediates fall out of cache and
-        // the batching win inverts (measured crossover between 512
-        // and 2048 rows at d = 32). Row independence makes the split
-        // invisible in the output bits.
-        const STACK_ROWS: usize = 256;
+        let xv = engaged
+            .iter()
+            .any(Option::is_some)
+            .then(|| self.lat_item.lookup_inference(&self.store, items)); // n×d
         let per = (STACK_ROWS / n).max(1);
         let mut out = Vec::with_capacity(users.len());
-        for (uc, lc) in users.chunks(per).zip(latents.chunks(per)) {
-            self.score_user_chunk_stacked(uc, lc, &ev, xv.as_ref(), &mut out);
+        for (uc, hc) in users.chunks(per).zip(engaged.chunks(per)) {
+            let eu: Vec<&[f32]> = uc.iter().map(|&u| self.emb_user.row(&self.store, u)).collect();
+            let r1 = self.pred_user.forward_inference(&self.store, &tower_rows_cross(&eu, &ev)); // (U·n)×1
+            let hs: Vec<&[f32]> = hc.iter().flatten().copied().collect();
+            let r2 = match &xv {
+                Some(xv) if !hs.is_empty() => {
+                    self.pred_user.forward_inference(&self.store, &tower_rows_cross(&hs, xv))
+                }
+                _ => Matrix::zeros(0, 1),
+            }; // (L·n)×1
+            let mut r2_rows = r2.as_slice().chunks(n);
+            for (r1_rows, h) in r1.as_slice().chunks(n).zip(hc) {
+                out.push(match h.and_then(|_| r2_rows.next()) {
+                    Some(r2_rows) => {
+                        r1_rows.iter().zip(r2_rows).map(|(&a, &b)| a * (1.0 - w) + b * w).collect()
+                    }
+                    None => r1_rows.to_vec(),
+                });
+            }
         }
         out
-    }
-
-    /// One stacked tower pass over a bounded user sub-batch; shared
-    /// item gathers (`ev`, and `xv` when any latent engages) are done
-    /// by the caller. Appends one score row per user to `out`.
-    fn score_user_chunk_stacked(
-        &self,
-        users: &[usize],
-        latents: &[Option<&Matrix>],
-        ev: &Matrix,
-        xv: Option<&Matrix>,
-        out: &mut Vec<Vec<f32>>,
-    ) {
-        let n = ev.rows();
-        let d = ev.cols();
-
-        // Stacked r₁ inputs: per user the same [eᵁ | eⱽ | eᵁ⊙eⱽ] rows
-        // the per-user path concatenates. Built with row-wise slice
-        // copies, not per-element pushes — the build is pure data
-        // movement and must not eat the batching win.
-        let width = 3 * d;
-        let mut cat1 = vec![0.0f32; users.len() * n * width];
-        for (j, &u) in users.iter().enumerate() {
-            let eu = self.emb_user.row(&self.store, u); // &[f32] of len d
-            for i in 0..n {
-                let evr = ev.row(i);
-                let row = &mut cat1[(j * n + i) * width..(j * n + i + 1) * width];
-                row[..d].copy_from_slice(eu);
-                row[d..2 * d].copy_from_slice(evr);
-                for ((o, &a), &b) in row[2 * d..].iter_mut().zip(eu).zip(evr) {
-                    *o = a * b;
-                }
-            }
-        }
-        let cat1 = Matrix::from_vec(users.len() * n, width, cat1);
-        let r1 = self.pred_user.forward_inference(&self.store, &cat1); // (U·n)×1
-
-        // The r₂ tower only runs for users whose latent exists and
-        // whose blend weight engages it (exact-zero config gate, same
-        // as the per-user path).
-        let w = self.cfg.w_u;
-        let with_latent: Vec<usize> = (0..users.len())
-            .filter(|&j| latents[j].is_some() && w != 0.0) // lint: allow(float-eq)
-            .collect();
-        let r2 = if with_latent.is_empty() {
-            None
-        } else {
-            // lint: allow(panic-reach) — xv is gathered above whenever with_latent is non-empty.
-            let xv = xv.expect("caller gathers xv whenever any latent engages");
-            let mut cat2 = vec![0.0f32; with_latent.len() * n * width];
-            for (rank, &j) in with_latent.iter().enumerate() {
-                let h = latents[j].expect("filtered to Some").row(0); // lint: allow(panic-reach)
-                for i in 0..n {
-                    let xvr = xv.row(i);
-                    let row = &mut cat2[(rank * n + i) * width..(rank * n + i + 1) * width];
-                    row[..d].copy_from_slice(h);
-                    row[d..2 * d].copy_from_slice(xvr);
-                    for ((o, &a), &b) in row[2 * d..].iter_mut().zip(h).zip(xvr) {
-                        *o = a * b;
-                    }
-                }
-            }
-            let cat2 = Matrix::from_vec(with_latent.len() * n, width, cat2);
-            Some(self.pred_user.forward_inference(&self.store, &cat2)) // (L·n)×1
-        };
-
-        let mut latent_rank = 0usize;
-        for j in 0..users.len() {
-            let r1_rows = &r1.as_slice()[j * n..(j + 1) * n];
-            if with_latent.contains(&j) {
-                // lint: allow(panic-reach) — r2 is Some exactly when with_latent is non-empty.
-                let r2 = r2.as_ref().expect("r2 computed for latent-bearing users");
-                let r2_rows = &r2.as_slice()[latent_rank * n..(latent_rank + 1) * n];
-                latent_rank += 1;
-                out.push(
-                    r1_rows
-                        .iter()
-                        .zip(r2_rows)
-                        .map(|(&a, &b)| a * (1.0 - w) + b * w)
-                        .collect(),
-                );
-            } else {
-                out.push(r1_rows.to_vec());
-            }
-        }
     }
 
     /// Tape-free twin of [`GroupSa::member_reps_graph`] (Eq. 1–6),
@@ -354,35 +282,63 @@ impl GroupSa {
     /// Tape-free twin of the group-task scores (Eq. 7–10, 20), taking
     /// the precomputed post-voting member representations — pass the
     /// cached result of [`GroupSa::member_reps_frozen`]. Per item this
-    /// is one item-conditioned γ attention over `l` members plus one
-    /// tower evaluation.
+    /// is one item-conditioned γ attention over the `l` members; the
+    /// resulting `x_G` rows then share **one** tower pass (row
+    /// independence makes that bit-identical to one pass per item).
     ///
     /// # Panics
     /// If `items` is empty or any id is out of range.
     pub fn score_group_items_frozen(&self, post_reps: &Matrix, items: &[usize]) -> Vec<f32> {
         assert!(!items.is_empty(), "score_group_items_frozen: no items to score");
-        let l = post_reps.rows();
-        let ev_all = self.emb_item.lookup_inference(&self.store, items); // n×d
-        let tower = if self.cfg.lean_group_head { &self.pred_user } else { &self.pred_group };
-        (0..items.len())
-            .map(|idx| {
-                let ev = ev_all.slice_rows(idx, 1); // 1×d
-                let ev_rep = ev.repeat_rows(l);
-                let rows = ev_rep.concat_cols(post_reps).concat_cols(&ev_rep.mul_elem(post_reps)); // l×3d
-                let w = self.group_att.weights_inference(&self.store, &rows); // 1×l
-                let agg = w.matmul(post_reps); // 1×d
-                let xg = if self.cfg.lean_group_head {
-                    agg
-                } else {
-                    let mut lin = self.group_out.forward_inference(&self.store, &agg);
-                    lin.map_inplace(ops::relu);
-                    lin
-                };
-                let cat = xg.concat_cols(&ev).concat_cols(&xg.mul_elem(&ev)); // 1×3d
-                tower.forward_inference(&self.store, &cat).scalar()
-            })
-            .collect()
+        let ev = self.emb_item.lookup_inference(&self.store, items); // n×d
+        let mut xg = Vec::with_capacity(ev.rows() * ev.cols());
+        for e in ev.rows_iter() {
+            xg.extend_from_slice(self.gamma_frozen(post_reps, e).matmul(post_reps).as_slice()); // 1×d
+        }
+        let mut xg = Matrix::from_vec(ev.rows(), ev.cols(), xg); // n×d
+        let tower = if self.cfg.lean_group_head {
+            &self.pred_user
+        } else {
+            xg = self.group_out.forward_inference(&self.store, &xg);
+            xg.map_inplace(ops::relu);
+            &self.pred_group
+        };
+        tower.forward_inference(&self.store, &tower_rows_paired(&xg, &ev)).as_slice().to_vec()
     }
+
+    /// Item-conditioned member weights `γ_{t,i}` (Eq. 9–10) for one
+    /// candidate embedding, as a `1×l` row: the vanilla attention over
+    /// one `[embⱽ_i | x_t | embⱽ_i⊙x_t]` row per post-voting member.
+    pub(crate) fn gamma_frozen(&self, post_reps: &Matrix, item_emb: &[f32]) -> Matrix {
+        self.group_att.weights_inference(&self.store, &tower_rows_cross(&[item_emb], post_reps))
+    }
+}
+
+/// The one builder of `[a | v | a⊙v]` rows — the input layout of every
+/// prediction tower (Eq. 20, 22–23) and of the γ attention (Eq. 9) —
+/// writing one row per `(a, v)` pair into a single `rows×3d` buffer.
+/// Pure data movement plus one product per element, so the rows carry
+/// the bits of the graph path's `concat_cols`/`mul_elem` chain.
+fn tower_rows<'a>(rows: usize, d: usize, pairs: impl Iterator<Item = (&'a [f32], &'a [f32])>) -> Matrix {
+    let mut buf = Vec::with_capacity(rows * 3 * d);
+    for (a, v) in pairs {
+        buf.extend_from_slice(a);
+        buf.extend_from_slice(v);
+        buf.extend(a.iter().zip(v).map(|(&x, &y)| x * y));
+    }
+    Matrix::from_vec(rows, 3 * d, buf)
+}
+
+/// [`tower_rows`] in cross mode: each `a` against every row of `v`,
+/// `a`-major (row `j·n + i` pairs `a[j]` with `v` row `i`).
+fn tower_rows_cross(a: &[&[f32]], v: &Matrix) -> Matrix {
+    tower_rows(a.len() * v.rows(), v.cols(), a.iter().flat_map(|&a| v.rows_iter().map(move |r| (a, r))))
+}
+
+/// [`tower_rows`] in row-paired mode: row `i` of `a` against row `i`
+/// of `v`.
+fn tower_rows_paired(a: &Matrix, v: &Matrix) -> Matrix {
+    tower_rows(v.rows(), v.cols(), a.rows_iter().zip(v.rows_iter()))
 }
 
 #[cfg(test)]

@@ -126,19 +126,11 @@ impl GroupSa {
 
     /// Gradient-free member attention weights `γ_{t,i}` (Eq. 10) for a
     /// given candidate item — the per-member influence the Table IV
-    /// case study reports.
+    /// case study reports. Read through the frozen scoring path, so the
+    /// weights are the ones served scores are built from.
     pub fn member_weights(&self, ctx: &DataContext, group: usize, item: usize) -> Vec<f32> {
-        let mut g = Graph::new();
-        let mut rng = groupsa_tensor::rng::seeded(0);
-        let (_, post_reps) = self.member_reps_graph(&mut g, &mut rng, ctx, group, false);
-        let ev = self.emb_item.lookup(&mut g, &self.store, &[item]); // 1×d
-        let l = g.value(post_reps).rows();
-        let ev_rep = g.repeat_rows(ev, l);
-        let rows = g.concat_cols(ev_rep, post_reps);
-        let prod = g.mul_elem(ev_rep, post_reps);
-        let rows = g.concat_cols(rows, prod);
-        let w = self.group_att.weights(&mut g, &self.store, rows); // 1×l
-        g.value(w).as_slice().to_vec()
+        let post_reps = self.member_reps_frozen(ctx, group, &[]);
+        self.gamma_frozen(&post_reps, self.emb_item.row(&self.store, item)).as_slice().to_vec()
     }
 }
 
@@ -217,6 +209,34 @@ mod tests {
         assert!((w1.iter().sum::<f32>() - 1.0).abs() < 1e-5);
         // Expertise is item-conditioned: weights differ across items.
         assert_ne!(w0, w1, "member weights must be item-conditioned");
+    }
+
+    #[test]
+    fn member_weights_match_the_graph_gamma_bit_for_bit() {
+        for voting_input in [crate::config::VotingInput::Embedding, crate::config::VotingInput::Enhanced] {
+            let (d, _) = tiny_world(12);
+            let mut cfg = GroupSaConfig::tiny();
+            cfg.voting_input = voting_input;
+            let ctx = DataContext::from_train_view(&d, &cfg);
+            let model = GroupSa::new(cfg, d.num_users, d.num_items);
+            for (t, item) in [(0, 0), (1, 3), (ctx.num_groups() - 1, d.num_items - 1)] {
+                let mut g = Graph::new();
+                let mut rng = seeded(0);
+                let (_, post) = model.member_reps_graph(&mut g, &mut rng, &ctx, t, false);
+                let ev = model.emb_item.lookup(&mut g, model.store(), &[item]);
+                let ev_rep = g.repeat_rows(ev, ctx.members[t].len());
+                let rows = g.concat_cols(ev_rep, post);
+                let prod = g.mul_elem(ev_rep, post);
+                let rows = g.concat_cols(rows, prod);
+                let w = model.group_att.weights(&mut g, model.store(), rows);
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&model.member_weights(&ctx, t, item)),
+                    bits(g.value(w).as_slice()),
+                    "{voting_input:?} group {t} item {item}"
+                );
+            }
+        }
     }
 
     #[test]

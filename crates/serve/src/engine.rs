@@ -524,20 +524,16 @@ fn worker_loop(shared: &Shared) {
                 ],
             );
         }
-        // Coalescible jobs — user targets scanning the full catalog
+        // Catalog-user jobs — user targets scanning the full catalog
         // (`exclude_seen = false`), whose candidate sets are therefore
-        // identical — share one stacked scoring pass when two or more
-        // land in the same drained batch. Everything else runs the
-        // per-job path in drain order.
-        let coalesce =
-            batch.iter().filter(|job| catalog_user_id(&job.req).is_some()).count() >= 2;
+        // identical — share one stacked scoring pass; a lone one gets
+        // the same bits from that pass as from the per-job path.
+        // Everything else runs the per-job path in drain order.
         let mut coalesced: Vec<(usize, Job)> = Vec::new();
         for job in batch {
-            if coalesce {
-                if let Some(user) = catalog_user_id(&job.req) {
-                    coalesced.push((user, job));
-                    continue;
-                }
+            if let Some(user) = catalog_user_id(&job.req) {
+                coalesced.push((user, job));
+                continue;
             }
             let score_started = Instant::now();
             let (response, expired) = execute(&frozen, &job);

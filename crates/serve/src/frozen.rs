@@ -22,7 +22,7 @@
 
 use crate::metrics::CacheStats;
 use crate::protocol::Target;
-use groupsa_core::{DataContext, GroupMode, GroupSa, Recommendation, TopK};
+use groupsa_core::{DataContext, GroupMode, GroupSa, Recommendation, ScoreAggregation, TopK};
 use groupsa_snapshot::{
     MemoryTables, Quant, Snapshot, SnapshotError, SnapshotMeta, SnapshotTables, SnapshotWriter,
     TableRef, TableStore,
@@ -268,32 +268,15 @@ impl FrozenModel {
         exclude_seen: bool,
         mode: GroupMode,
     ) -> Result<Vec<Recommendation>, String> {
+        let mut accs = [TopK::new(k)];
         match target {
             Target::User { id } => {
                 if id >= self.ctx.num_users {
                     return Err(format!("user {id} out of range (num_users = {})", self.ctx.num_users));
                 }
                 let held = self.tables.user_latent(id).map_err(|e| e.to_string())?;
-                let latent = held.as_deref();
-                let mut counted = false;
-                Ok(self.scan(
-                    |i| !exclude_seen || !self.ctx.user_item_graph.has_interaction(id, i),
-                    k,
-                    |chunk, acc| {
-                        // Cache-hit accounting is per *request*, not per
-                        // chunk — note it on the first scored slice only.
-                        if !counted {
-                            counted = true;
-                            if latent.is_some() {
-                                self.latent_hits.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                        let scores = self.model.score_user_items_frozen(id, chunk, latent);
-                        for (&item, score) in chunk.iter().zip(scores) {
-                            acc.push(item, score);
-                        }
-                    },
-                ))
+                let keep = |i: usize| !exclude_seen || !self.ctx.user_item_graph.has_interaction(id, i);
+                self.scan_users(&[id], &[held.as_deref()], keep, &mut accs, None);
             }
             Target::Group { id } => {
                 if id >= self.ctx.num_groups() {
@@ -303,17 +286,12 @@ impl FrozenModel {
                 match mode {
                     GroupMode::Voting => {
                         let reps = self.tables.group_rep(id).map_err(|e| e.to_string())?;
-                        let mut counted = false;
-                        Ok(self.scan(keep, k, |chunk, acc| {
-                            if !counted {
-                                counted = true;
-                                self.rep_hits.fetch_add(1, Ordering::Relaxed);
-                            }
-                            let scores = self.model.score_group_items_frozen(&reps, chunk);
-                            for (&item, score) in chunk.iter().zip(scores) {
-                                acc.push(item, score);
-                            }
-                        }))
+                        let scored = self.scan(keep, &mut accs, |chunk, accs| {
+                            push_rows(accs, chunk, [self.model.score_group_items_frozen(&reps, chunk)]);
+                        });
+                        if scored {
+                            self.rep_hits.fetch_add(1, Ordering::Relaxed);
+                        }
                     }
                     GroupMode::Fast(agg) => {
                         let members = &self.ctx.members[id];
@@ -331,119 +309,118 @@ impl FrozenModel {
                             .map(|&u| self.tables.user_latent(u))
                             .collect::<Result<_, _>>()
                             .map_err(|e| e.to_string())?;
-                        let latent_refs: Vec<Option<&Matrix>> =
-                            held.iter().map(|h| h.as_deref()).collect();
-                        let mut counted = false;
-                        Ok(self.scan(keep, k, |chunk, acc| {
-                            if !counted {
-                                counted = true;
-                                let hits = latent_refs.iter().filter(|l| l.is_some()).count() as u64;
-                                self.latent_hits.fetch_add(hits, Ordering::Relaxed);
-                            }
-                            let per_member = self.model.score_users_items_frozen(members, &latent_refs, chunk);
-                            for (idx, &item) in chunk.iter().enumerate() {
-                                let column: Vec<f32> = per_member.iter().map(|row| row[idx]).collect();
-                                acc.push(item, agg.combine(&column));
-                            }
-                        }))
+                        let latents: Vec<Option<&Matrix>> = held.iter().map(|h| h.as_deref()).collect();
+                        self.scan_users(members, &latents, keep, &mut accs, Some(agg));
                     }
                 }
             }
         }
+        let [acc] = accs;
+        Ok(acc.into_sorted())
     }
 
     /// Batched top-`k` for many *user* targets that share the full item
     /// catalog as their candidate set (`exclude_seen = false`). Each
-    /// chunk is scored for **all** requests through one stacked
-    /// prediction-tower pass ([`GroupSa::score_users_items_frozen`]),
-    /// so `m` coalesced requests cost one tower traversal instead of
-    /// `m`. Per-request results (and cache-hit accounting) are
-    /// bit-identical to calling [`FrozenModel::recommend`] per request.
+    /// chunk is scored for **all** requests through stacked
+    /// prediction-tower passes ([`GroupSa::score_users_items_frozen`]),
+    /// the same scan [`FrozenModel::recommend`] runs for one user, so
+    /// per-request results (and cache-hit accounting) are bit-identical
+    /// to calling it per request.
     ///
     /// Each `(user, k)` pair yields its own entry; an out-of-range user
-    /// fails individually without poisoning the batch.
+    /// or a failed table read (snapshot I/O) fails individually without
+    /// poisoning the batch.
     pub fn recommend_users_shared(&self, requests: &[(usize, usize)]) -> Vec<Result<Vec<Recommendation>, String>> {
-        let mut results: Vec<Result<Vec<Recommendation>, String>> = requests
+        let held: Vec<Result<Option<TableRef<'_>>, String>> = requests
             .iter()
             .map(|&(user, _)| {
                 if user >= self.ctx.num_users {
-                    Err(format!("user {user} out of range (num_users = {})", self.ctx.num_users))
-                } else {
-                    Ok(Vec::new())
+                    return Err(format!("user {user} out of range (num_users = {})", self.ctx.num_users));
                 }
+                self.tables.user_latent(user).map_err(|e| e.to_string())
             })
             .collect();
-        // Table reads can fail per user (snapshot I/O); a failed read
-        // downgrades that one request to an error, like out-of-range.
-        let mut valid: Vec<usize> = Vec::with_capacity(requests.len());
-        let mut held: Vec<Option<TableRef<'_>>> = Vec::with_capacity(requests.len());
-        for j in 0..requests.len() {
-            if results[j].is_err() {
-                continue;
-            }
-            match self.tables.user_latent(requests[j].0) {
-                Ok(l) => {
-                    valid.push(j);
-                    held.push(l);
-                }
-                Err(e) => results[j] = Err(e.to_string()),
+        let (mut users, mut latents, mut accs) = (Vec::new(), Vec::new(), Vec::new());
+        for (&(user, k), h) in requests.iter().zip(&held) {
+            if let Ok(h) = h {
+                users.push(user);
+                latents.push(h.as_deref());
+                accs.push(TopK::new(k));
             }
         }
-        if valid.is_empty() || self.ctx.num_items == 0 {
-            return results;
-        }
-        let users: Vec<usize> = valid.iter().map(|&j| requests[j].0).collect();
-        let latent_refs: Vec<Option<&Matrix>> = held.iter().map(|h| h.as_deref()).collect();
-        // One hit per request whose user has a cached latent — the same
-        // counts the per-request path produces.
-        let hits = latent_refs.iter().filter(|l| l.is_some()).count() as u64;
-        self.latent_hits.fetch_add(hits, Ordering::Relaxed);
-
-        let mut accs: Vec<TopK> = valid.iter().map(|&j| TopK::new(requests[j].1)).collect();
-        let mut start = 0;
-        while start < self.ctx.num_items {
-            let end = (start + SCAN_CHUNK).min(self.ctx.num_items);
-            let chunk: Vec<usize> = (start..end).collect();
-            let per_user = self.model.score_users_items_frozen(&users, &latent_refs, &chunk);
-            for (acc, scores) in accs.iter_mut().zip(per_user) {
-                for (&item, score) in chunk.iter().zip(scores) {
-                    acc.push(item, score);
-                }
-            }
-            start = end;
-        }
-        for (&j, acc) in valid.iter().zip(accs) {
-            results[j] = Ok(acc.into_sorted());
-        }
-        results
+        self.scan_users(&users, &latents, |_| true, &mut accs, None);
+        let mut ranked = accs.into_iter().map(TopK::into_sorted);
+        held.into_iter().map(|h| h.map(|_| ranked.next().unwrap_or_default())).collect()
     }
 
     /// Drives one fused filter→score→select scan over the catalog:
     /// candidates passing `keep` are collected into [`SCAN_CHUNK`]-item
-    /// slices, handed to `score_chunk` (which pushes scored items into
-    /// the accumulator), and ranked by the bounded heap at the end.
+    /// slices and handed to `score_chunk`, which pushes scored items
+    /// into the bounded heaps in `accs`. Returns whether any chunk was
+    /// scored: cache hits are counted once per request, and only for
+    /// requests that scored something.
     fn scan(
         &self,
         keep: impl Fn(usize) -> bool,
-        k: usize,
-        mut score_chunk: impl FnMut(&[usize], &mut TopK),
-    ) -> Vec<Recommendation> {
-        let mut acc = TopK::new(k);
+        accs: &mut [TopK],
+        mut score_chunk: impl FnMut(&[usize], &mut [TopK]),
+    ) -> bool {
         let mut chunk: Vec<usize> = Vec::with_capacity(SCAN_CHUNK.min(self.ctx.num_items));
-        for i in 0..self.ctx.num_items {
-            if !keep(i) {
-                continue;
-            }
+        let mut scored = false;
+        for i in (0..self.ctx.num_items).filter(|&i| keep(i)) {
             chunk.push(i);
             if chunk.len() == SCAN_CHUNK {
-                score_chunk(&chunk, &mut acc);
+                score_chunk(&chunk, accs);
                 chunk.clear();
+                scored = true;
             }
         }
         if !chunk.is_empty() {
-            score_chunk(&chunk, &mut acc);
+            score_chunk(&chunk, accs);
+            scored = true;
         }
-        acc.into_sorted()
+        scored
+    }
+
+    /// The one user-tower scan: scores `users` (with their cached
+    /// latents) on every kept item through
+    /// [`GroupSa::score_users_items_frozen`]. With `agg = None`,
+    /// `accs[j]` ranks user `j`'s own scores; with `Some(agg)` the
+    /// users are one group's members and `accs[0]` ranks their scores
+    /// combined by `agg` (the Fast arm). Counts one latent hit per
+    /// latent-bearing user once anything was scored.
+    fn scan_users(
+        &self,
+        users: &[usize],
+        latents: &[Option<&Matrix>],
+        keep: impl Fn(usize) -> bool,
+        accs: &mut [TopK],
+        agg: Option<ScoreAggregation>,
+    ) {
+        if users.is_empty() {
+            return;
+        }
+        let scored = self.scan(keep, accs, |chunk, accs| {
+            let rows = self.model.score_users_items_frozen(users, latents, chunk);
+            match agg {
+                None => push_rows(accs, chunk, rows),
+                Some(agg) => {
+                    let mut column = Vec::with_capacity(rows.len());
+                    let combined: Vec<f32> = (0..chunk.len())
+                        .map(|idx| {
+                            column.clear();
+                            column.extend(rows.iter().map(|row| row[idx]));
+                            agg.combine(&column)
+                        })
+                        .collect();
+                    push_rows(accs, chunk, [combined]);
+                }
+            }
+        });
+        if scored {
+            let hits = latents.iter().filter(|l| l.is_some()).count() as u64;
+            self.latent_hits.fetch_add(hits, Ordering::Relaxed);
+        }
     }
 
     /// Point-in-time cache counters for the metrics snapshot.
@@ -455,6 +432,15 @@ impl FrozenModel {
             num_users: self.ctx.num_users,
             num_items: self.ctx.num_items,
             num_groups: self.ctx.num_groups(),
+        }
+    }
+}
+
+/// Pushes score row `j` of one scanned chunk into `accs[j]`.
+fn push_rows(accs: &mut [TopK], chunk: &[usize], rows: impl IntoIterator<Item = Vec<f32>>) {
+    for (acc, row) in accs.iter_mut().zip(rows) {
+        for (&item, score) in chunk.iter().zip(row) {
+            acc.push(item, score);
         }
     }
 }

@@ -29,7 +29,7 @@ use crate::admission::TokenBucket;
 use crate::engine::{Engine, Outbound};
 use crate::error::ServeError;
 use crate::protocol::{Request, Response};
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
@@ -43,6 +43,12 @@ const ACCEPT_POLL: Duration = Duration::from_millis(2);
 /// How long shutdown waits for live connections to finish on their own
 /// before severing their sockets.
 const SHUTDOWN_GRACE: Duration = Duration::from_millis(500);
+
+/// Longest request line accepted, in bytes before its newline. Every
+/// request is a small JSON object; a line past this is answered with
+/// one `BadRequest` and the connection is closed, so a peer that never
+/// sends a newline cannot grow the read buffer without bound.
+const MAX_REQUEST_BYTES: usize = 64 * 1024;
 
 /// Connection-layer policy knobs (the engine has its own
 /// [`crate::engine::EngineConfig`]).
@@ -69,7 +75,7 @@ pub fn run_with(listener: TcpListener, engine: Arc<Engine>, cfg: ServerConfig) -
     let stop = Arc::new(AtomicBool::new(false));
     // Each live connection keeps its join handle plus a spare stream
     // handle, so shutdown can sever sockets whose clients never hang
-    // up (a blocking `read_line` only returns once the socket dies).
+    // up (a blocking read only returns once the socket dies).
     let mut live: Vec<(std::thread::JoinHandle<()>, Option<TcpStream>)> = Vec::new();
     while !stop.load(Ordering::SeqCst) {
         match listener.accept() {
@@ -144,7 +150,7 @@ fn reap_finished(live: &mut Vec<(std::thread::JoinHandle<()>, Option<TcpStream>)
 }
 
 /// Shutdown path for live connections: wait out a grace period, sever
-/// whatever is left (unblocking readers parked in `read_line`), then
+/// whatever is left (unblocking readers parked in a blocking read), then
 /// join every thread.
 fn finish(mut live: Vec<(std::thread::JoinHandle<()>, Option<TcpStream>)>, engine: &Engine) {
     let deadline = Instant::now() + SHUTDOWN_GRACE;
@@ -220,16 +226,35 @@ fn handle_connection(stream: TcpStream, engine: &Arc<Engine>, stop: &AtomicBool,
             if cfg.rate_burst > 0 { cfg.rate_burst } else { cfg.rate_limit },
         )
     });
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let line = match line {
-            Ok(l) => l,
-            Err(_) => break, // client went away mid-line (or was severed)
+    let mut reader = BufReader::new(stream);
+    let mut buf: Vec<u8> = Vec::new();
+    loop {
+        buf.clear();
+        // One byte past the cap tells an overlong line from one that
+        // exactly fits.
+        match (&mut reader).take(MAX_REQUEST_BYTES as u64 + 1).read_until(b'\n', &mut buf) {
+            Ok(0) | Err(_) => break, // EOF, or the client went away mid-line (or was severed)
+            Ok(_) => {}
+        }
+        if buf.last() == Some(&b'\n') {
+            buf.pop();
+            if buf.last() == Some(&b'\r') {
+                buf.pop();
+            }
+        }
+        if buf.len() > MAX_REQUEST_BYTES {
+            let message = format!("request line exceeds {MAX_REQUEST_BYTES} bytes");
+            let _ = tx.send(Outbound::plain(ServeError::BadRequest { message }.into_response(0)));
+            break;
+        }
+        let line = match std::str::from_utf8(&buf) {
+            Ok(line) => line,
+            Err(_) => break, // not UTF-8: close the connection
         };
         if line.trim().is_empty() {
             continue;
         }
-        let request = match groupsa_json::from_str::<Request>(&line) {
+        let request = match groupsa_json::from_str::<Request>(line) {
             Ok(request) => request,
             Err(e) => {
                 let refusal = ServeError::BadRequest { message: e.to_string() }.into_response(0);
@@ -304,6 +329,10 @@ fn handle_connection(stream: TcpStream, engine: &Arc<Engine>, stop: &AtomicBool,
     // response is abandoned half-written when the thread retires.
     drop(tx);
     let _ = writer.join();
+    // Everything is written: send FIN now, so the client reads EOF even
+    // when it still has unread bytes in flight (closing a socket with
+    // unread input resets the connection instead).
+    let _ = reader.get_ref().shutdown(Shutdown::Write);
 }
 
 fn send(writer: &mut TcpStream, response: &Response) -> io::Result<()> {

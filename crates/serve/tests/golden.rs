@@ -3,18 +3,18 @@
 //! serving mode. A frozen snapshot is a speedup, never an
 //! approximation.
 
-use groupsa_core::{DataContext, GroupMode, GroupSa, GroupSaConfig, Recommendation, ScoreAggregation};
+use groupsa_core::{top_k, DataContext, GroupMode, GroupSa, GroupSaConfig, Recommendation, ScoreAggregation};
 use groupsa_data::synthetic::{generate, SyntheticConfig};
 use groupsa_data::Dataset;
 use groupsa_serve::protocol::Target;
 use groupsa_serve::FrozenModel;
 
-fn tiny_world(seed: u64) -> (Dataset, DataContext) {
+fn tiny_world(seed: u64, num_items: usize) -> (Dataset, DataContext) {
     let dataset = generate(&SyntheticConfig {
         name: format!("serve-golden-{seed}"),
         seed,
         num_users: 60,
-        num_items: 40,
+        num_items,
         num_groups: 25,
         num_topics: 4,
         latent_dim: 4,
@@ -44,7 +44,7 @@ fn assert_identical(frozen: &[Recommendation], graph: &[Recommendation], what: &
 
 #[test]
 fn frozen_user_recommendations_match_graph_path_bit_for_bit() {
-    let (d, ctx) = tiny_world(71);
+    let (d, ctx) = tiny_world(71, 40);
     let model = GroupSa::new(GroupSaConfig::tiny(), d.num_users, d.num_items);
     let frozen = FrozenModel::freeze(model, ctx);
     for user in 0..d.num_users {
@@ -56,7 +56,7 @@ fn frozen_user_recommendations_match_graph_path_bit_for_bit() {
 
 #[test]
 fn frozen_group_recommendations_match_graph_path_in_every_mode() {
-    let (d, ctx) = tiny_world(72);
+    let (d, ctx) = tiny_world(72, 40);
     let model = GroupSa::new(GroupSaConfig::tiny(), d.num_users, d.num_items);
     let num_groups = ctx.num_groups();
     let frozen = FrozenModel::freeze(model, ctx);
@@ -75,9 +75,56 @@ fn frozen_group_recommendations_match_graph_path_in_every_mode() {
     }
 }
 
+/// The user, Voting, Fast and shared-catalog cases again on a catalog
+/// that crosses the scan chunk boundary: 557 items is two full
+/// 256-item chunks plus a prime-sized tail. Full-catalog `k` pins every
+/// score's bits, in both group heads.
+#[test]
+fn frozen_paths_match_graph_path_across_scan_chunks() {
+    const ITEMS: usize = 557;
+    let modes = [
+        GroupMode::Voting,
+        GroupMode::Fast(ScoreAggregation::Average),
+        GroupMode::Fast(ScoreAggregation::LeastMisery),
+        GroupMode::Fast(ScoreAggregation::MaxSatisfaction),
+    ];
+    for lean_group_head in [true, false] {
+        let (d, ctx) = tiny_world(79, ITEMS);
+        let num_groups = ctx.num_groups();
+        let mut cfg = GroupSaConfig::tiny();
+        cfg.lean_group_head = lean_group_head;
+        let frozen = FrozenModel::freeze(GroupSa::new(cfg, d.num_users, d.num_items), ctx);
+        let (model, ctx) = (frozen.model(), frozen.context());
+        let all: Vec<usize> = (0..ITEMS).collect();
+        let users = [0, 1, d.num_users - 1];
+        for user in users {
+            let what = format!("lean {lean_group_head} user {user}");
+            let got = frozen.recommend(Target::User { id: user }, ITEMS, true, GroupMode::Voting).unwrap();
+            assert_identical(&got, &model.recommend_for_user(ctx, user, ITEMS), &what);
+            let got = frozen.recommend(Target::User { id: user }, ITEMS, false, GroupMode::Voting).unwrap();
+            let scored = all.iter().zip(model.score_user_items(ctx, user, &all));
+            let want = top_k(scored.map(|(&item, score)| Recommendation { item, score }).collect(), ITEMS);
+            assert_identical(&got, &want, &format!("{what} with seen items"));
+        }
+        let shared = frozen.recommend_users_shared(&users.map(|u| (u, ITEMS)));
+        for (got, user) in shared.iter().zip(users) {
+            let want = frozen.recommend(Target::User { id: user }, ITEMS, false, GroupMode::Voting).unwrap();
+            let what = format!("lean {lean_group_head} shared user {user}");
+            assert_identical(got.as_ref().unwrap(), &want, &what);
+        }
+        for group in [0, num_groups - 1] {
+            for mode in modes {
+                let got = frozen.recommend(Target::Group { id: group }, ITEMS, true, mode).unwrap();
+                let want = model.recommend_for_group(ctx, group, ITEMS, mode);
+                assert_identical(&got, &want, &format!("lean {lean_group_head} group {group} mode {mode:?}"));
+            }
+        }
+    }
+}
+
 #[test]
 fn include_seen_scores_every_item() {
-    let (d, ctx) = tiny_world(73);
+    let (d, ctx) = tiny_world(73, 40);
     let model = GroupSa::new(GroupSaConfig::tiny(), d.num_users, d.num_items);
     let frozen = FrozenModel::freeze(model, ctx);
     let got = frozen.recommend(Target::User { id: 0 }, d.num_items + 5, false, GroupMode::Voting).unwrap();
@@ -86,7 +133,7 @@ fn include_seen_scores_every_item() {
 
 #[test]
 fn batched_shared_catalog_path_matches_per_request_recommendations() {
-    let (d, ctx) = tiny_world(77);
+    let (d, ctx) = tiny_world(77, 40);
     let model = GroupSa::new(GroupSaConfig::tiny(), d.num_users, d.num_items);
     let frozen = FrozenModel::freeze(model, ctx);
     // Mixed ks, duplicate users, and one out-of-range id: the batch
@@ -107,7 +154,7 @@ fn batched_shared_catalog_path_matches_per_request_recommendations() {
 
 #[test]
 fn batched_shared_catalog_cache_accounting_matches_per_request_path() {
-    let (d, ctx) = tiny_world(78);
+    let (d, ctx) = tiny_world(78, 40);
     let model = GroupSa::new(GroupSaConfig::tiny(), d.num_users, d.num_items);
     let frozen = FrozenModel::freeze(model, ctx);
     let requests: Vec<(usize, usize)> = vec![(0, 5), (1, 5), (2, 5)];
@@ -127,7 +174,7 @@ fn batched_shared_catalog_cache_accounting_matches_per_request_path() {
 
 #[test]
 fn out_of_range_targets_error_instead_of_panicking() {
-    let (d, ctx) = tiny_world(74);
+    let (d, ctx) = tiny_world(74, 40);
     let num_groups = ctx.num_groups();
     let model = GroupSa::new(GroupSaConfig::tiny(), d.num_users, d.num_items);
     let frozen = FrozenModel::freeze(model, ctx);
@@ -137,7 +184,7 @@ fn out_of_range_targets_error_instead_of_panicking() {
 
 #[test]
 fn rebuild_swaps_models_and_validates_the_universe() {
-    let (d, ctx) = tiny_world(75);
+    let (d, ctx) = tiny_world(75, 40);
     let model = GroupSa::new(GroupSaConfig::tiny(), d.num_users, d.num_items);
     let mut frozen = FrozenModel::freeze(model, ctx);
     let before = frozen.recommend(Target::Group { id: 0 }, 5, true, GroupMode::Voting).unwrap();
@@ -163,7 +210,7 @@ fn rebuild_swaps_models_and_validates_the_universe() {
 
 #[test]
 fn cache_hit_counters_advance() {
-    let (d, ctx) = tiny_world(76);
+    let (d, ctx) = tiny_world(76, 40);
     let model = GroupSa::new(GroupSaConfig::tiny(), d.num_users, d.num_items);
     let frozen = FrozenModel::freeze(model, ctx);
     frozen.recommend(Target::User { id: 0 }, 5, true, GroupMode::Voting).unwrap();

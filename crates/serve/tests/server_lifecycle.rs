@@ -1,7 +1,7 @@
 //! TCP server lifecycle: per-connection pipelining, connection-thread
 //! reaping, rate limiting, and the shutdown race.
 //!
-//! Three regressions pinned here:
+//! Four regressions pinned here:
 //!
 //! * the accept loop used to push one `JoinHandle` per connection into
 //!   a vec it never drained — connection churn grew server memory
@@ -14,7 +14,10 @@
 //!   explicit `engine is shutting down` line;
 //! * responses used to be written inline by the reader thread, one
 //!   round-trip at a time — now a client may pipeline many requests
-//!   and match replies by id.
+//!   and match replies by id;
+//! * request lines used to be read without a length cap — one line
+//!   with no newline grew the connection's buffer without bound — now
+//!   a line past 64 KiB is refused and its connection closed.
 
 use groupsa_core::{DataContext, GroupSa, GroupSaConfig};
 use groupsa_data::synthetic::{generate, SyntheticConfig};
@@ -267,6 +270,38 @@ fn rate_limited_requests_get_typed_refusals() {
     let stats = engine.stats();
     assert_eq!(stats.limited, limited);
     assert_eq!(stats.submitted, ok, "limited requests are never submitted to the engine");
+
+    shutdown_server(addr);
+    server.join().expect("server thread").expect("server run");
+}
+
+/// A request line that never ends must not grow the server: a peer
+/// streaming 1 MiB with no newline gets exactly one `BadRequest`
+/// (id 0) and then EOF, and the server keeps serving new connections.
+#[test]
+fn overlong_request_line_is_refused_and_the_connection_closed() {
+    let (addr, _engine, server) = boot(frozen_world(55), ServerConfig::default());
+    let (stream, mut reader) = connect(addr);
+
+    // The server stops reading after the cap, so the write side may
+    // block and then fail once the connection is gone: keep it off the
+    // reading thread and ignore its outcome.
+    let mut flood = stream.try_clone().expect("clone");
+    let writer = std::thread::spawn(move || {
+        let _ = flood.write_all(&vec![b'a'; 1 << 20]);
+    });
+    match read_response(&mut reader) {
+        Response::Error { id: 0, ref error } if error.starts_with("bad request") => {}
+        other => panic!("unexpected {other:?}"),
+    }
+    let mut rest = String::new();
+    assert_eq!(reader.read_line(&mut rest).expect("read after refusal"), 0, "expected EOF, got {rest:?}");
+    drop(stream);
+    writer.join().expect("flood writer");
+
+    let (mut fresh, mut fresh_reader) = connect(addr);
+    send_line(&mut fresh, &recommend(7, 3));
+    assert!(matches!(read_response(&mut fresh_reader), Response::Recommend { id: 7, .. }));
 
     shutdown_server(addr);
     server.join().expect("server thread").expect("server run");
